@@ -1,7 +1,6 @@
 package interconnect
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -93,26 +92,55 @@ func TestEndEpochResets(t *testing.T) {
 	}
 }
 
-func TestConcurrentRecordTransfer(t *testing.T) {
+// TestTransferTotalsPersistAcrossEpochs pins the two counter
+// lifetimes: per-link epoch traffic restarts from zero at every
+// EndEpoch, lifetime totals keep accumulating across epochs.
+func TestTransferTotalsPersistAcrossEpochs(t *testing.T) {
 	f := New(testMachine(), DefaultParams())
-	var wg sync.WaitGroup
-	const perG, gs = 500, 8
-	for g := 0; g < gs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				f.RecordTransfer(topology.DomainID(1+g%3), 0)
+	var want [4][4]uint64
+	for epoch := 1; epoch <= 5; epoch++ {
+		for from := 0; from < 4; from++ {
+			for to := 0; to < 4; to++ {
+				for i := 0; i < epoch*(from+1); i++ {
+					f.RecordTransfer(topology.DomainID(from), topology.DomainID(to))
+				}
+				if from != to {
+					want[from][to] += uint64(epoch * (from + 1))
+				}
 			}
-		}(g)
+		}
+		f.EndEpoch()
+		for from := 0; from < 4; from++ {
+			for to := 0; to < 4; to++ {
+				a, b := topology.DomainID(from), topology.DomainID(to)
+				if got := f.EpochTraffic(a, b); got != 0 {
+					t.Fatalf("epoch %d link %d->%d: epoch traffic %d after EndEpoch", epoch, from, to, got)
+				}
+				if got := f.TotalTraffic(a, b); got != want[from][to] {
+					t.Fatalf("epoch %d link %d->%d: total %d, want %d", epoch, from, to, got, want[from][to])
+				}
+			}
+		}
 	}
-	wg.Wait()
-	var total uint64
-	for from := 0; from < 4; from++ {
-		total += f.TotalTraffic(topology.DomainID(from), 0)
+}
+
+// EndEpoch runs once per region, so it must not allocate; its matrix
+// is reused by the next call.
+func TestEndEpochReusesMatrix(t *testing.T) {
+	f := New(testMachine(), DefaultParams())
+	f.RecordTransfer(1, 0)
+	first := f.EndEpoch()
+	if first[1][0] != 4.0 {
+		t.Fatalf("hot link factor = %v, want 4.0", first[1][0])
 	}
-	if total != perG*gs {
-		t.Fatalf("total = %d, want %d", total, perG*gs)
+	if allocs := testing.AllocsPerRun(100, func() {
+		f.RecordTransfer(2, 3)
+		f.EndEpoch()
+	}); allocs != 0 {
+		t.Fatalf("EndEpoch allocates %v times per call, want 0", allocs)
+	}
+	if again := f.EndEpoch(); &again[0][0] != &first[0][0] || again[1][0] != 1.0 {
+		t.Fatal("EndEpoch should return the reused matrix, recomputed")
 	}
 }
 

@@ -592,19 +592,12 @@ func (e *Engine) access(t *Thread, site isa.SiteID, addr uint64, isStore bool) {
 		e.currentThread, e.currentSite = nil, isa.NoSite
 		return
 	}
+	// Filled field by field: assigning a composite literal would build
+	// a temporary and block-copy it (runtime.duffcopy) on every access.
 	ev := &e.accessEv
-	*ev = AccessEvent{
-		Thread:      t,
-		Site:        site,
-		EA:          addr,
-		IsStore:     isStore,
-		Source:      res.Source,
-		Home:        home,
-		Latency:     lat,
-		FirstTouch:  first,
-		Region:      region,
-		RegionValid: regionOK,
-	}
+	ev.Thread, ev.Site, ev.EA, ev.IsStore = t, site, addr, isStore
+	ev.Source, ev.Home, ev.Latency = res.Source, home, lat
+	ev.FirstTouch, ev.Region, ev.RegionValid = first, region, regionOK
 	for _, h := range e.hooks {
 		h.OnAccess(ev)
 	}
@@ -630,17 +623,19 @@ func (e *Engine) accessBatch(t *Thread, site isa.SiteID, addrs []uint64, isStore
 		return
 	}
 	e.currentThread, e.currentSite = t, site
-	needEvs := len(e.hooks) > 0
-	evs := e.batchEvs[:0]
-	if needEvs && cap(evs) < len(addrs) {
-		evs = make([]AccessEvent, 0, len(addrs))
+	var evs []AccessEvent // nil when no hook needs the events
+	if len(e.hooks) > 0 {
+		if cap(e.batchEvs) < len(addrs) {
+			e.batchEvs = make([]AccessEvent, len(addrs))
+		}
+		evs = e.batchEvs[:len(addrs)]
 	}
 	var (
 		cycles       units.Cycles
 		remote       uint64
 		remoteCycles units.Cycles
 	)
-	for _, addr := range addrs {
+	for i, addr := range addrs {
 		home, first, region, regionOK, err := e.as.TouchRegion(addr, isStore, t.Domain)
 		if err != nil {
 			home = topology.NoDomain
@@ -665,19 +660,12 @@ func (e *Engine) accessBatch(t *Thread, site isa.SiteID, addrs []uint64, isStore
 			remote++
 			remoteCycles += lat
 		}
-		if needEvs {
-			evs = append(evs, AccessEvent{
-				Thread:      t,
-				Site:        site,
-				EA:          addr,
-				IsStore:     isStore,
-				Source:      res.Source,
-				Home:        home,
-				Latency:     lat,
-				FirstTouch:  first,
-				Region:      region,
-				RegionValid: regionOK,
-			})
+		if evs != nil {
+			// Filled in place, like access's scratch event.
+			ev := &evs[i]
+			ev.Thread, ev.Site, ev.EA, ev.IsStore = t, site, addr, isStore
+			ev.Source, ev.Home, ev.Latency = res.Source, home, lat
+			ev.FirstTouch, ev.Region, ev.RegionValid = first, region, regionOK
 		}
 	}
 	n := uint64(len(addrs))
@@ -689,8 +677,7 @@ func (e *Engine) accessBatch(t *Thread, site isa.SiteID, addrs []uint64, isStore
 	e.totalMemAccesses += n
 	e.totalRemote += remote
 	e.totalRemoteCycles += remoteCycles
-	if needEvs {
-		e.batchEvs = evs
+	if evs != nil {
 		for i, h := range e.hooks {
 			if bh := e.batchHooks[i]; bh != nil {
 				bh.OnAccessBatch(evs)

@@ -69,8 +69,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	replay, sub := job.Events(lastID, streamBuffer)
 	defer sub.Close()
+	// The subscriber gauge drops before the terminal event is flushed:
+	// a client that reads end-of-stream and then scrapes /metrics must
+	// not still be counted. Every other exit drops it on return.
 	s.m.streamSubscribers.Add(1)
-	defer s.m.streamSubscribers.Add(-1)
+	subscribed := true
+	unsubscribe := func() {
+		if subscribed {
+			subscribed = false
+			s.m.streamSubscribers.Add(-1)
+		}
+	}
+	defer unsubscribe()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -79,14 +89,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	fl.Flush()
 
 	write := func(ev progress.Event) bool {
+		if progress.TerminalEvent(ev.Type) {
+			unsubscribe()
+		}
 		if err := writeSSE(w, ev); err != nil {
 			return false
 		}
-		fl.Flush()
+		// Counted before the flush makes the event visible.
 		s.m.streamEvents.Inc()
 		if ev.Snapshot != nil {
 			s.m.snapLat.Observe(time.Since(ev.At))
 		}
+		fl.Flush()
 		return true
 	}
 	for _, ev := range replay {

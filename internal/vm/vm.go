@@ -12,13 +12,21 @@
 // case study in Section 8 traces back to this mechanism, and the
 // tool's first-touch pinpointing (Section 6) is built on page
 // protection, which this package also provides.
+//
+// # Concurrency
+//
+// An AddressSpace has a single owner: the proc.Engine that created it,
+// driven from one sweep cell's goroutine (see the proc package's
+// concurrency contract). Nothing here takes a lock, and no method is
+// safe for concurrent use. Cells never share an address space, so
+// internal/sched can run cells in parallel without coordination here.
+// A fault handler runs synchronously on the owner's goroutine and may
+// call back into the address space.
 package vm
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/topology"
 	"repro/internal/units"
@@ -159,18 +167,27 @@ func (r Region) Valid() bool { return r.Size > 0 }
 
 // page holds per-page state.
 type page struct {
-	home    topology.DomainID
+	home topology.DomainID
+	// region is the ID of the allocation owning the page; -1 for guard
+	// pages.
+	region  int32
 	prot    Protection
 	touched bool
 }
 
 // AddressSpace is the simulated process's virtual memory.
 type AddressSpace struct {
-	mu   sync.Mutex
 	topo *topology.Machine
 
-	next    uint64 // bump allocator cursor, page aligned
-	pages   map[uint64]*page
+	next uint64 // bump allocator cursor, page aligned
+	// pages is the heap's page table, indexed by page number minus
+	// heapPage. The bump allocator keeps the heap contiguous, so every
+	// page in [heapBase, next), guard pages included, has an entry.
+	pages []page
+	// outside holds the protection of pages outside the heap, which
+	// Protect may name like any other address. Alloc adopts an entry
+	// when the heap grows over its page.
+	outside map[uint64]Protection
 	regions []Region
 	// policies[regionID] homes pages of that region on first touch.
 	policies []Policy
@@ -180,8 +197,8 @@ type AddressSpace struct {
 
 	handler FaultHandler
 
-	// freed regions by ID, for use-after-free detection.
-	freed map[int]bool
+	// freed[regionID] marks freed regions, for use-after-free detection.
+	freed []bool
 }
 
 // ErrOutOfRange is returned by operations on addresses outside any
@@ -192,13 +209,15 @@ var ErrOutOfRange = errors.New("vm: address outside any allocation")
 // address 0 invalid, like a real process image.
 const heapBase = 0x10000
 
+// heapPage is the page number of heapBase, the first page table entry.
+const heapPage = heapBase >> units.PageShift
+
 // NewAddressSpace creates an empty address space for a machine.
 func NewAddressSpace(topo *topology.Machine) *AddressSpace {
 	as := &AddressSpace{
-		topo:  topo,
-		next:  heapBase,
-		pages: make(map[uint64]*page),
-		freed: make(map[int]bool),
+		topo:    topo,
+		next:    heapBase,
+		outside: make(map[uint64]Protection),
 	}
 	for d := 0; d < topo.NumDomains(); d++ {
 		as.allDomains = append(as.allDomains, topology.DomainID(d))
@@ -213,11 +232,7 @@ func (as *AddressSpace) Topology() *topology.Machine { return as.topo }
 // accesses. Passing nil removes the handler; protected accesses then
 // behave as if unprotected (matching a program with no SIGSEGV handler
 // installed by the tool).
-func (as *AddressSpace) SetFaultHandler(h FaultHandler) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	as.handler = h
-}
+func (as *AddressSpace) SetFaultHandler(h FaultHandler) { as.handler = h }
 
 // Alloc reserves size bytes under the given placement policy and
 // returns the region. The allocation is page-aligned and readable and
@@ -230,67 +245,80 @@ func (as *AddressSpace) Alloc(size uint64, policy Policy) Region {
 	if policy == nil {
 		policy = FirstTouch{}
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	base := as.next
 	nPages := units.PagesSpanned(base, size)
-	as.next += nPages * uint64(units.PageSize)
+	r := Region{Base: base, Size: size, ID: len(as.regions)}
 	// Leave a guard page between allocations so adjacent regions never
 	// share a page; this keeps move_pages-style per-variable queries
 	// exact, as the paper's data-centric attribution requires.
-	as.next += uint64(units.PageSize)
-	r := Region{Base: base, Size: size, ID: len(as.regions)}
+	first := units.PageOf(base)
+	for p := first; p <= first+nPages; p++ {
+		pg := page{home: topology.NoDomain, region: int32(r.ID), prot: ProtRW}
+		if p == first+nPages {
+			pg.region = -1 // the guard page
+		}
+		if prot, ok := as.outside[p]; ok {
+			pg.prot = prot
+			delete(as.outside, p)
+		}
+		as.pages = append(as.pages, pg)
+	}
+	as.next += (nPages + 1) * uint64(units.PageSize)
 	as.regions = append(as.regions, r)
 	as.policies = append(as.policies, policy)
+	as.freed = append(as.freed, false)
 	return r
 }
 
-// Free releases a region. Its pages drop their homes; subsequent
-// resolution of addresses inside it reports ErrOutOfRange.
+// Free releases a region. Its pages drop their homes and protections;
+// subsequent resolution of addresses inside it reports ErrOutOfRange.
 func (as *AddressSpace) Free(r Region) {
-	if !r.Valid() {
-		return
-	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if r.ID < 0 || r.ID >= len(as.regions) || as.freed[r.ID] {
+	if !r.Valid() || r.ID < 0 || r.ID >= len(as.regions) || as.freed[r.ID] {
 		return
 	}
 	as.freed[r.ID] = true
-	first := units.PageOf(r.Base)
-	last := units.PageOf(r.End() - 1)
-	for p := first; p <= last; p++ {
-		delete(as.pages, p)
+	for p := units.PageOf(r.Base); p <= units.PageOf(r.End()-1); p++ {
+		if pg := as.heapEntry(p); pg != nil {
+			pg.home, pg.prot, pg.touched = topology.NoDomain, ProtRW, false
+		} else {
+			delete(as.outside, p)
+		}
 	}
 }
 
 // Freed reports whether the region has been freed.
 func (as *AddressSpace) Freed(r Region) bool {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.freed[r.ID]
+	return r.ID >= 0 && r.ID < len(as.freed) && as.freed[r.ID]
 }
 
 // RegionOf returns the allocation containing addr.
 func (as *AddressSpace) RegionOf(addr uint64) (Region, bool) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	return as.regionOfLocked(addr)
+	_, r, ok := as.lookup(addr)
+	return r, ok
 }
 
-func (as *AddressSpace) regionOfLocked(addr uint64) (Region, bool) {
-	// Regions are allocated at increasing bases, so binary search.
-	i := sort.Search(len(as.regions), func(i int) bool {
-		return as.regions[i].Base > addr
-	})
-	if i == 0 {
-		return Region{}, false
+// heapEntry returns the page table entry of page number p, or nil if p
+// lies outside the heap.
+func (as *AddressSpace) heapEntry(p uint64) *page {
+	// Pages below heapPage wrap to huge indices and fail the bound.
+	if i := p - heapPage; i < uint64(len(as.pages)) {
+		return &as.pages[i]
 	}
-	r := as.regions[i-1]
-	if !r.Contains(addr) || as.freed[r.ID] {
-		return Region{}, false
+	return nil
+}
+
+// lookup resolves addr to its page table entry and the live allocation
+// containing it.
+func (as *AddressSpace) lookup(addr uint64) (*page, Region, bool) {
+	pg := as.heapEntry(units.PageOf(addr))
+	if pg == nil || pg.region < 0 || as.freed[pg.region] {
+		return nil, Region{}, false
 	}
-	return r, true
+	// The region's last page may extend past its requested size.
+	if r := as.regions[pg.region]; addr < r.End() {
+		return pg, r, true
+	}
+	return nil, Region{}, false
 }
 
 // Touch resolves the page containing addr for an access by a thread
@@ -298,65 +326,58 @@ func (as *AddressSpace) regionOfLocked(addr uint64) (Region, bool) {
 // first touch. It returns the page's home domain and whether this
 // access was the page's first touch.
 //
-// If the page is protected, the installed fault handler runs first
-// (with the lock released, so the handler can call Unprotect), then the
-// touch is retried; this mirrors the kernel delivering SIGSEGV and
-// restarting the faulting instruction (Figure 2 of the paper). If no
-// handler is installed the protection is ignored.
+// If the page is protected, the installed fault handler runs first (it
+// may call Unprotect, or any other method), then the touch is retried
+// once; this mirrors the kernel delivering SIGSEGV and restarting the
+// faulting instruction (Figure 2 of the paper). If no handler is
+// installed the protection is ignored.
 func (as *AddressSpace) Touch(addr uint64, isWrite bool, touchDomain topology.DomainID) (topology.DomainID, bool, error) {
 	home, first, _, _, err := as.TouchRegion(addr, isWrite, touchDomain)
 	return home, first, err
 }
 
-// TouchRegion is Touch fused with RegionOf: one lock acquisition
-// resolves the page and returns the allocation containing addr. The
-// execution engine's batched dispatch uses it — the unfused per-access
-// pipeline pays two lock round-trips and two region binary searches per
-// access, and this is the dominant cost left on that path. Semantics
-// are identical to Touch followed by RegionOf.
+// TouchRegion is Touch fused with RegionOf: one page table lookup
+// resolves both the page and the allocation containing addr. This is
+// the execution engine's per-access entry point. Semantics are
+// identical to Touch followed by RegionOf.
 func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topology.DomainID) (topology.DomainID, bool, Region, bool, error) {
-	for attempt := 0; ; attempt++ {
-		as.mu.Lock()
-		r, ok := as.regionOfLocked(addr)
-		if !ok {
-			as.mu.Unlock()
-			return topology.NoDomain, false, Region{}, false, ErrOutOfRange
-		}
-		pidx := units.PageOf(addr)
-		pg := as.pages[pidx]
-		if pg != nil && pg.prot&ProtRW != ProtRW && as.handler != nil && attempt == 0 {
-			h := as.handler
-			as.mu.Unlock()
-			h(Fault{Addr: addr, IsWrite: isWrite, Region: r})
-			continue // retry the faulting access, like the kernel does
-		}
-		if pg == nil {
-			pg = &page{home: topology.NoDomain, prot: ProtRW}
-			as.pages[pidx] = pg
-		}
-		first := !pg.touched
-		if first {
-			pg.touched = true
-			policy := as.policies[r.ID]
-			firstPage := units.PageOf(r.Base)
-			nPages := units.PagesSpanned(r.Base, r.Size)
-			home := policy.PlacePage(pidx-firstPage, nPages, touchDomain)
-			if home == topology.NoDomain {
-				if _, isIL := policy.(Interleaved); isIL {
-					home = as.allDomains[(pidx-firstPage)%uint64(len(as.allDomains))]
-				} else {
-					home = touchDomain
-				}
-			}
-			if home == topology.NoDomain {
-				home = 0
-			}
-			pg.home = home
-		}
-		home := pg.home
-		as.mu.Unlock()
-		return home, first, r, true, nil
+	pg, r, ok := as.lookup(addr)
+	if ok && pg.prot&ProtRW != ProtRW && as.handler != nil {
+		as.handler(Fault{Addr: addr, IsWrite: isWrite, Region: r})
+		// Retry the faulting access, like the kernel does. The handler
+		// may have allocated (moving the page table) or freed the
+		// region, so resolve again; a page still protected is touched
+		// anyway so a buggy handler cannot wedge the simulation.
+		pg, r, ok = as.lookup(addr)
 	}
+	if !ok {
+		return topology.NoDomain, false, Region{}, false, ErrOutOfRange
+	}
+	first := !pg.touched
+	if first {
+		pg.touched = true
+		pg.home = as.place(r, units.PageOf(addr), touchDomain)
+	}
+	return pg.home, first, r, true, nil
+}
+
+// place picks the home of page p of region r on its first touch by a
+// thread running in touchDomain.
+func (as *AddressSpace) place(r Region, p uint64, touchDomain topology.DomainID) topology.DomainID {
+	policy := as.policies[r.ID]
+	idx := p - units.PageOf(r.Base)
+	home := policy.PlacePage(idx, units.PagesSpanned(r.Base, r.Size), touchDomain)
+	if home == topology.NoDomain {
+		if _, isIL := policy.(Interleaved); isIL {
+			home = as.allDomains[idx%uint64(len(as.allDomains))]
+		} else {
+			home = touchDomain
+		}
+	}
+	if home == topology.NoDomain {
+		home = 0
+	}
+	return home
 }
 
 // PageNode returns the home domain of the page containing addr, or
@@ -364,13 +385,11 @@ func (as *AddressSpace) TouchRegion(addr uint64, isWrite bool, touchDomain topol
 // move_pages(…, nodes=NULL) query libnuma exposes and the profiler
 // uses for every address sample (Section 4.1).
 func (as *AddressSpace) PageNode(addr uint64) (topology.DomainID, error) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if _, ok := as.regionOfLocked(addr); !ok {
+	pg, _, ok := as.lookup(addr)
+	if !ok {
 		return topology.NoDomain, ErrOutOfRange
 	}
-	pg := as.pages[units.PageOf(addr)]
-	if pg == nil || !pg.touched {
+	if !pg.touched {
 		return topology.NoDomain, nil
 	}
 	return pg.home, nil
@@ -388,8 +407,6 @@ func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
 	if size == 0 {
 		return 0
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	ps := uint64(units.PageSize)
 	end := base + size
 	// Full pages are those whose start >= base and end <= end.
@@ -397,12 +414,11 @@ func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
 	lastFull := end / ps
 	n := 0
 	for p := first; p < lastFull; p++ {
-		pg := as.pages[p]
-		if pg == nil {
-			pg = &page{home: topology.NoDomain, prot: ProtRW}
-			as.pages[p] = pg
+		if pg := as.heapEntry(p); pg != nil {
+			pg.prot = prot
+		} else {
+			as.outside[p] = prot
 		}
-		pg.prot = prot
 		n++
 	}
 	return n
@@ -410,28 +426,29 @@ func (as *AddressSpace) Protect(base, size uint64, prot Protection) int {
 
 // Unprotect restores read/write permission on the page containing addr.
 func (as *AddressSpace) Unprotect(addr uint64) {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if pg := as.pages[units.PageOf(addr)]; pg != nil {
+	p := units.PageOf(addr)
+	if pg := as.heapEntry(p); pg != nil {
 		pg.prot = ProtRW
+	} else {
+		delete(as.outside, p)
 	}
 }
 
 // ProtectionOf returns the protection of the page containing addr.
-// Untracked pages report ProtRW.
+// Pages never protected report ProtRW.
 func (as *AddressSpace) ProtectionOf(addr uint64) Protection {
-	as.mu.Lock()
-	defer as.mu.Unlock()
-	if pg := as.pages[units.PageOf(addr)]; pg != nil {
+	p := units.PageOf(addr)
+	if pg := as.heapEntry(p); pg != nil {
 		return pg.prot
+	}
+	if prot, ok := as.outside[p]; ok {
+		return prot
 	}
 	return ProtRW
 }
 
 // Regions returns a copy of all allocations, live and freed.
 func (as *AddressSpace) Regions() []Region {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	out := make([]Region, len(as.regions))
 	copy(out, as.regions)
 	return out
@@ -446,8 +463,6 @@ func (as *AddressSpace) SetPolicy(r Region, p Policy) {
 	if p == nil || r.ID < 0 {
 		return
 	}
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if r.ID < len(as.policies) {
 		as.policies[r.ID] = p
 	}
@@ -455,8 +470,6 @@ func (as *AddressSpace) SetPolicy(r Region, p Policy) {
 
 // PolicyOf returns the placement policy of the region.
 func (as *AddressSpace) PolicyOf(r Region) Policy {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if r.ID < 0 || r.ID >= len(as.policies) {
 		return nil
 	}
@@ -466,8 +479,6 @@ func (as *AddressSpace) PolicyOf(r Region) Policy {
 // DomainPages counts touched pages homed in each domain, indexed by
 // domain id — the raw material for page-placement reports.
 func (as *AddressSpace) DomainPages() []uint64 {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	out := make([]uint64, as.topo.NumDomains())
 	for _, pg := range as.pages {
 		if pg.touched && pg.home >= 0 && int(pg.home) < len(out) {

@@ -1,7 +1,6 @@
 package vm
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -288,30 +287,42 @@ func TestPolicyOf(t *testing.T) {
 	}
 }
 
-func TestConcurrentTouch(t *testing.T) {
+// TestFirstTouchHomeStable interleaves touches by threads in every
+// domain over a region's pages: each page is homed in the domain of its
+// first toucher, and later touches from any domain neither re-home it
+// nor report a first touch again.
+func TestFirstTouchHomeStable(t *testing.T) {
 	as := NewAddressSpace(testMachine())
 	ps := uint64(units.PageSize)
 	r := as.Alloc(ps*64, FirstTouch{})
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for p := uint64(0); p < 64; p++ {
-				if _, _, err := as.Touch(r.Base+p*ps, false, topology.DomainID(g%4)); err != nil {
-					t.Errorf("touch: %v", err)
-					return
-				}
-			}
-		}(g)
+	firstToucher := make([]topology.DomainID, 64)
+	for i := range firstToucher {
+		firstToucher[i] = topology.NoDomain
 	}
-	wg.Wait()
-	// Every page must have exactly one home, and once set it is stable.
+	for g := 0; g < 8; g++ {
+		d := topology.DomainID(g % 4)
+		for p := uint64(0); p < 64; p++ {
+			// Thread g starts at page 8g, so pages get different first
+			// touchers.
+			page := (p + uint64(8*g)) % 64
+			home, first, err := as.Touch(r.Base+page*ps, false, d)
+			if err != nil {
+				t.Fatalf("touch: %v", err)
+			}
+			if first != (firstToucher[page] == topology.NoDomain) {
+				t.Fatalf("page %d: first = %v on touch by thread %d", page, first, g)
+			}
+			if first {
+				firstToucher[page] = d
+			}
+			if home != firstToucher[page] {
+				t.Fatalf("page %d: home %d, want first toucher's domain %d", page, home, firstToucher[page])
+			}
+		}
+	}
 	for p := uint64(0); p < 64; p++ {
-		d1, _ := as.PageNode(r.Base + p*ps)
-		d2, _ := as.PageNode(r.Base + p*ps)
-		if d1 == topology.NoDomain || d1 != d2 {
-			t.Fatalf("page %d home unstable: %d vs %d", p, d1, d2)
+		if d, _ := as.PageNode(r.Base + p*ps); d != firstToucher[p] {
+			t.Fatalf("page %d: PageNode %d, want %d", p, d, firstToucher[p])
 		}
 	}
 }
