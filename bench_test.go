@@ -336,6 +336,71 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheAccessTuned measures the per-access cost on the geometry
+// every workload runs (TunedCacheConfig on MagnyCours48). The fixed
+// stream round-robins the 48 CPUs over three kinds of access, so the
+// reported source mix resembles a case-study profile's:
+//   - 4 rounds in 10 touch a 4-line per-CPU hot set (L1 hits);
+//   - 5 in 10 walk a 250-line per-domain window that the domain's six
+//     CPUs share (L3 hits: a CPU revisits a line only after the window
+//     has pushed it out of its private caches);
+//   - 1 in 10 streams new lines, homed round-robin over the domains,
+//     that all fall in set 0 and so never survive to be reused (DRAM).
+func BenchmarkCacheAccessTuned(b *testing.B) {
+	m := topology.MagnyCours48()
+	type access struct {
+		cpu  topology.CPUID
+		addr uint64
+		home topology.DomainID
+	}
+	cpus, domains := m.NumCPUs(), m.NumDomains()
+	const rounds, window = 80, 250
+	stream := make([]access, 0, rounds*cpus)
+	streamed := 0
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < cpus; c++ {
+			cpu := topology.CPUID(c)
+			d := m.DomainOfCPU(cpu)
+			a := access{cpu: cpu, home: d}
+			switch k := r % 10; {
+			case k < 4:
+				a.addr = 1<<32 + uint64(c)<<20 + uint64(r%4)*64
+			case k < 9:
+				line := (r*6 + c%6) % window
+				a.addr = 2<<32 + uint64(d)<<20 + uint64(line)*64
+			default:
+				a.addr = 3<<32 + uint64(streamed)*32*64
+				a.home = topology.DomainID(streamed % domains)
+				streamed++
+			}
+			stream = append(stream, a)
+		}
+	}
+	h := cache.NewHierarchy(m, workloads.TunedCacheConfig())
+	for _, a := range stream {
+		h.Access(a.cpu, a.addr, a.home)
+	}
+	before := h.SourceCounts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := stream[i%len(stream)]
+		h.Access(a.cpu, a.addr, a.home)
+	}
+	b.StopTimer()
+	after := h.SourceCounts()
+	share := func(srcs ...cache.DataSource) float64 {
+		var n uint64
+		for _, s := range srcs {
+			n += after[s] - before[s]
+		}
+		return 100 * float64(n) / float64(b.N)
+	}
+	b.ReportMetric(share(cache.SrcL1), "l1_pct")
+	b.ReportMetric(share(cache.SrcL2), "l2_pct")
+	b.ReportMetric(share(cache.SrcL3, cache.SrcRemoteCache), "l3_pct")
+	b.ReportMetric(share(cache.SrcLocalDRAM, cache.SrcRemoteDRAM), "dram_pct")
+}
+
 // BenchmarkVMTouch measures page resolution with first-touch homing.
 func BenchmarkVMTouch(b *testing.B) {
 	as := vm.NewAddressSpace(benchMachine())

@@ -72,7 +72,8 @@ func (s DataSource) BeyondLocalL3() bool {
 }
 
 // Config describes the geometry and on-chip latencies of the hierarchy.
-// All caches use LRU replacement; sizes must be powers of two.
+// All caches use LRU replacement. The line size and every set count
+// must be powers of two; way counts may be any positive number.
 type Config struct {
 	LineSize units.Bytes
 
@@ -104,59 +105,51 @@ func DefaultConfig() Config {
 	}
 }
 
-// setAssoc is one set-associative LRU cache. It stores only tags; the
-// simulator never needs the data itself.
-type setAssoc struct {
-	// sets holds ways tags per set in MRU-first order; zero means
-	// empty (tag values are offset by 1 to distinguish empty slots).
-	sets      []uint64
-	ways      int
-	setMask   uint64
-	lineShift uint // log2(lineSize)
+// level is one cache level of the whole machine: the tag arrays of all
+// its caches (one per CPU for L1 and L2, one per domain for L3) stored
+// back to back. Cache i owns sets [i*sets, (i+1)*sets); each set holds
+// ways tags in MRU-first order. The simulator never needs the data
+// itself, only the tags.
+type level struct {
+	// tags is zero for an empty way; stored tags are line+1 so that
+	// line 0 is distinguishable from an empty way.
+	tags     []uint64
+	ways     int
+	setMask  uint64
+	perCache int // sets*ways: the tag-array stride from one cache to the next
 }
 
-func newSetAssoc(sets, ways int, lineSize units.Bytes) *setAssoc {
+func newLevel(caches, sets, ways int) level {
 	if sets <= 0 || ways <= 0 || bits.OnesCount(uint(sets)) != 1 {
 		panic(fmt.Sprintf("cache: invalid geometry sets=%d ways=%d", sets, ways))
 	}
-	ls := uint(bits.TrailingZeros64(uint64(lineSize)))
-	return &setAssoc{
-		sets:      make([]uint64, sets*ways),
-		ways:      ways,
-		lineShift: ls,
-		setMask:   uint64(sets - 1),
+	return level{
+		tags:     make([]uint64, caches*sets*ways),
+		ways:     ways,
+		setMask:  uint64(sets - 1),
+		perCache: sets * ways,
 	}
 }
 
-// access looks up addr, returning true on hit. Hit or miss, the line
-// becomes most-recently-used; on miss the LRU way is evicted.
-func (c *setAssoc) access(addr uint64) bool {
-	line := addr >> c.lineShift
-	set := int(line & c.setMask)
-	tag := line + 1 // offset so 0 means empty
-	base := set * c.ways
-	// Full slice expression so the probe loop and the MRU shifts below
-	// run over a slice whose bounds the compiler can prove once.
-	ways := c.sets[base : base+c.ways : base+c.ways]
+// access looks up line in cache c, returning true on hit. Hit or miss,
+// the line becomes most-recently-used; on miss the LRU way is evicted.
+// One pass does the lookup and the LRU update: each way it passes moves
+// back one slot, so the pass stops at a hit with the tag re-inserted
+// at the front, and a miss shifts the whole set, dropping the last way.
+func (l *level) access(c int, line uint64) bool {
+	tag := line + 1
+	base := c*l.perCache + int(line&l.setMask)*l.ways
+	// Full slice expression so the loop's bounds are proven once.
+	ways := l.tags[base : base+l.ways : base+l.ways]
+	carry := tag // the tag to store in the way being passed
 	for i, t := range ways {
+		ways[i] = carry
 		if t == tag {
-			// Move to front (MRU).
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = tag
 			return true
 		}
+		carry = t
 	}
-	// Miss: evict LRU (last slot), insert at front.
-	copy(ways[1:], ways[:c.ways-1])
-	ways[0] = tag
 	return false
-}
-
-// flush empties the cache.
-func (c *setAssoc) flush() {
-	for i := range c.sets {
-		c.sets[i] = 0
-	}
 }
 
 // Result describes one access through the hierarchy.
@@ -173,28 +166,41 @@ type Result struct {
 
 // Hierarchy is the full cache system of one machine.
 type Hierarchy struct {
-	cfg  Config
-	topo *topology.Machine
-	l1   []*setAssoc // per CPU
-	l2   []*setAssoc // per CPU
-	l3   []*setAssoc // per domain
+	cfg       Config
+	lineShift uint  // log2(cfg.LineSize)
+	l1, l2    level // one cache per CPU
+	l3        level // one cache per domain
+	// domainOf maps each CPU to its (always valid) domain, so the
+	// access path does not go through the topology.
+	domainOf   []topology.DomainID
+	numDomains int
 
 	// hit/miss statistics per source, for reporting.
 	sourceCounts [numSources]uint64
 }
 
-// NewHierarchy builds the caches for a machine.
+// NewHierarchy builds the caches for a machine. It panics if the line
+// size or a set count is not a power of two, or a way count is not
+// positive.
 func NewHierarchy(topo *topology.Machine, cfg Config) *Hierarchy {
 	if cfg.LineSize == 0 {
 		cfg = DefaultConfig()
 	}
-	h := &Hierarchy{cfg: cfg, topo: topo}
-	for i := 0; i < topo.NumCPUs(); i++ {
-		h.l1 = append(h.l1, newSetAssoc(cfg.L1Sets, cfg.L1Ways, cfg.LineSize))
-		h.l2 = append(h.l2, newSetAssoc(cfg.L2Sets, cfg.L2Ways, cfg.LineSize))
+	if bits.OnesCount64(uint64(cfg.LineSize)) != 1 {
+		panic(fmt.Sprintf("cache: invalid line size %d", cfg.LineSize))
 	}
-	for i := 0; i < topo.NumDomains(); i++ {
-		h.l3 = append(h.l3, newSetAssoc(cfg.L3Sets, cfg.L3Ways, cfg.LineSize))
+	cpus, domains := topo.NumCPUs(), topo.NumDomains()
+	h := &Hierarchy{
+		cfg:        cfg,
+		lineShift:  uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
+		l1:         newLevel(cpus, cfg.L1Sets, cfg.L1Ways),
+		l2:         newLevel(cpus, cfg.L2Sets, cfg.L2Ways),
+		l3:         newLevel(domains, cfg.L3Sets, cfg.L3Ways),
+		domainOf:   make([]topology.DomainID, cpus),
+		numDomains: domains,
+	}
+	for c := range h.domainOf {
+		h.domainOf[c] = topo.DomainOfCPU(topology.CPUID(c))
 	}
 	return h
 }
@@ -214,28 +220,30 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // cannot be proven local), SrcLocalDRAM only when the home is unknown
 // too.
 func (h *Hierarchy) Access(cpu topology.CPUID, addr uint64, homeDomain topology.DomainID) Result {
-	local := h.topo.DomainOfCPU(cpu)
-	if cpu >= 0 && int(cpu) < len(h.l1) {
-		if h.l1[cpu].access(addr) {
+	line := addr >> h.lineShift
+	local := topology.NoDomain
+	if cpu >= 0 && int(cpu) < len(h.domainOf) {
+		local = h.domainOf[cpu]
+		if h.l1.access(int(cpu), line) {
 			h.sourceCounts[SrcL1]++
 			return Result{SrcL1, h.cfg.L1Latency}
 		}
-		if h.l2[cpu].access(addr) {
+		if h.l2.access(int(cpu), line) {
 			h.sourceCounts[SrcL2]++
 			return Result{SrcL2, h.cfg.L2Latency}
 		}
-	}
-	if local >= 0 && int(local) < len(h.l3) && h.l3[local].access(addr) {
-		h.sourceCounts[SrcL3]++
-		return Result{SrcL3, h.cfg.L3Latency}
+		if h.l3.access(int(local), line) {
+			h.sourceCounts[SrcL3]++
+			return Result{SrcL3, h.cfg.L3Latency}
+		}
 	}
 	// Missed the whole local hierarchy. Lookup cost so far:
 	lookup := h.cfg.L3Latency
-	if homeDomain != local && homeDomain >= 0 && int(homeDomain) < len(h.l3) {
+	if homeDomain != local && homeDomain >= 0 && int(homeDomain) < h.numDomains {
 		// Snoop the home domain's L3 (a crude directory model: remote
 		// data may be resident in its home L3 because the owner
 		// domain's threads also touch it).
-		if h.l3[homeDomain].access(addr) {
+		if h.l3.access(int(homeDomain), line) {
 			h.sourceCounts[SrcRemoteCache]++
 			return Result{SrcRemoteCache, lookup + h.cfg.RemoteCacheLatency}
 		}
@@ -266,14 +274,8 @@ func (h *Hierarchy) SourceCounts() map[DataSource]uint64 {
 // Flush empties every cache and resets statistics. Used between the
 // baseline and monitored runs of an experiment.
 func (h *Hierarchy) Flush() {
-	for _, c := range h.l1 {
-		c.flush()
-	}
-	for _, c := range h.l2 {
-		c.flush()
-	}
-	for _, c := range h.l3 {
-		c.flush()
-	}
+	clear(h.l1.tags)
+	clear(h.l2.tags)
+	clear(h.l3.tags)
 	h.sourceCounts = [numSources]uint64{}
 }

@@ -213,12 +213,26 @@ func TestLatencyOrdering(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two sets")
-		}
-	}()
-	newSetAssoc(3, 4, 64)
+	cases := []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"sets not a power of two", func(c *Config) { c.L2Sets = 3 }},
+		{"zero ways", func(c *Config) { c.L3Ways = 0 }},
+		{"line size not a power of two", func(c *Config) { c.LineSize = 48 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.edit(&cfg)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewHierarchy accepted %+v", cfg)
+				}
+			}()
+			NewHierarchy(testMachine(), cfg)
+		})
+	}
 }
 
 // Property: a just-accessed line is always an L1 hit on immediate

@@ -473,19 +473,27 @@ func (s *Server) runJob(job *Job) {
 		}
 		job.bumpAttempt()
 	}
+	// The breaker and the latency histograms move before finish makes
+	// the job terminal, so a client that sees it finished also sees
+	// their effect. They record what the run did, even if a cancel
+	// made the job terminal first.
+	switch {
+	case outcome == StateDone:
+		s.breakerSuccess(job.key)
+	case outcome == StateFailed && faults.Classify(runErr) == faults.Permanent:
+		s.breakerFailure(job.key)
+	}
+	s.m.run.Observe(time.Since(started))
+	s.m.total.Observe(time.Since(job.submitted))
 	if job.finish(outcome, errMsg, cacheHit, time.Now()) {
 		s.m.running.Add(-1)
 		switch outcome {
 		case StateDone:
 			s.m.done.Inc()
-			s.breakerSuccess(job.key)
 			s.log.Info("job done", "id", job.id, "workload", job.spec.Workload,
 				"cache_hit", cacheHit, "elapsed", time.Since(started).Round(time.Millisecond).String())
 		case StateFailed:
 			s.m.failed.Inc()
-			if faults.Classify(runErr) == faults.Permanent {
-				s.breakerFailure(job.key)
-			}
 			s.log.Error("job failed", "id", job.id, "workload", job.spec.Workload, "err", errMsg)
 		case StateCanceled:
 			s.m.canceled.Inc()
@@ -494,8 +502,6 @@ func (s *Server) runJob(job *Job) {
 		s.journalAppend(job, outcome, errMsg, cacheHit, false)
 		job.publish(string(outcome))
 	}
-	s.m.run.Observe(time.Since(started))
-	s.m.total.Observe(time.Since(job.submitted))
 }
 
 // execute resolves one attempt to its outcome: a store hit, a fresh run
